@@ -38,7 +38,8 @@ pub struct PhasePlan<'a> {
     pub read_period: Duration,
     /// Whether the reader yields between reads instead of sleeping, for
     /// read latencies that are not the reader's own wake-up delay. The
-    /// saturation phase sleeps to leave the processors to the pipeline.
+    /// saturation phase only sleeps, never spins, to leave the processors
+    /// to the pipeline.
     pub precise_reads: bool,
     /// The reader's op cycle.
     pub reads: &'a [ReadOp],
@@ -124,6 +125,15 @@ fn wait_until(due_ns: u64) {
         } else {
             std::hint::spin_loop();
         }
+    }
+}
+
+/// Sleeps until `due_ns`, without a final spin: for a loop whose timing
+/// only needs the resolution of its own period.
+fn sleep_until(due_ns: u64) {
+    let now = now_ns();
+    if due_ns > now {
+        std::thread::sleep(Duration::from_nanos(due_ns - now));
     }
 }
 
@@ -370,7 +380,7 @@ fn read_loop(
         if plan.precise {
             yield_until(due);
         } else {
-            wait_until(due);
+            sleep_until(due);
         }
         let op = plan.reads[j as usize % plan.reads.len()];
         let start = now_ns();

@@ -3,14 +3,15 @@
 //!
 //! The saturation phase comes first, from the bootstrap state: its windows
 //! all close on size, so its counts repeat exactly for a seed and a traced
-//! and an untraced session can be compared bit for bit. The rate phase then
-//! replays the next part of the same stream on the same session.
+//! and an untraced session can be compared bit for bit. An untraced run
+//! makes several such passes, each on a freshly set-up session; the rate
+//! phase then replays the next part of the same stream on the last one.
 
 use crate::drive::{run_phase, PhaseOutcome, PhasePlan};
 use crate::report::{chunked_percentile, mean, median, ms, percentile, ratio, us, Metrics};
 use crate::session::{spawn_session, Sequencer, Session, Spawned};
 use crate::trace::{write_spans, EngineSpan, Span};
-use crate::workload::{Inputs, WorkloadSpec, CHECKPOINT_EVERY};
+use crate::workload::{Inputs, WorkloadSpec, CHECKPOINT_EVERY, SATURATION_PASSES};
 use ripple_gnn::layer_wise::full_inference;
 use ripple_gnn::EmbeddingStore;
 use ripple_graph::VertexId;
@@ -18,8 +19,6 @@ use ripple_serve::{IndexStats, MetricsReport, TopKRequest};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Set-ups per untraced run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
 /// Consecutive parts the rate phase's samples are cut into; a latency is
 /// the median over the parts of each part's percentile.
 pub const PARTS: usize = 3;
@@ -121,19 +120,28 @@ impl Saturation {
     /// Updates applied in the phase over the time from its first submit
     /// until the reader saw the last one.
     pub fn ingest_ups(&self) -> f64 {
-        match self.phase.all_visible_ns() {
-            Some(end) => ratio(
-                self.phase.visible_ns.len() as f64,
-                end.saturating_sub(self.phase.start_ns) as f64 / 1e9,
-            ),
-            None => 0.0,
-        }
+        pooled_ingest_ups(std::slice::from_ref(self))
     }
 
     /// Epochs published during the phase.
     pub fn epochs(&self) -> u64 {
         self.after.epochs - self.before.epochs
     }
+}
+
+/// Updates applied over time taken, summed across saturation passes; 0 if
+/// the reader never saw some update.
+pub fn pooled_ingest_ups(passes: &[Saturation]) -> f64 {
+    let mut updates = 0usize;
+    let mut ns = 0u64;
+    for pass in passes {
+        let Some(end) = pass.phase.all_visible_ns() else {
+            return 0.0;
+        };
+        updates += pass.phase.visible_ns.len();
+        ns += end.saturating_sub(pass.phase.start_ns);
+    }
+    ratio(updates as f64, ns as f64 / 1e9)
 }
 
 /// Runs one workload and reports it.
@@ -150,23 +158,29 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     let mut metrics = Metrics::default();
     let mut problems = Vec::new();
 
-    // Set-up, several times over; the last session is the one measured.
+    // Set-up, several times over, each followed by a saturation pass on its
+    // session; the last session goes on to the rate phase. A traced run
+    // sets up once and makes one untraced and one traced pass.
+    let mut passes = Vec::new();
     let (inputs, mut spawned, setup_times) = if opts.trace {
         let inputs = Inputs::build(spec, opts.seed, opts.seconds)?;
         let spawned = spawn_session(spec, &inputs, false, &opts.out_dir)?;
         (inputs, spawned, Vec::new())
     } else {
-        let mut times = Vec::with_capacity(SETUP_REPS);
+        let mut times = Vec::with_capacity(SATURATION_PASSES);
         let mut kept = None;
-        for _ in 0..SETUP_REPS {
+        for _ in 0..SATURATION_PASSES {
             // Retire the previous set-up first, so only one session is alive.
             if let Some((_, old)) = kept.take() {
-                retire(old)?;
+                retire_checked(old, &mut ledger, &mut problems)?;
             }
             let t = Instant::now();
             let inputs = Inputs::build(spec, opts.seed, opts.seconds)?;
             let spawned = spawn_session(spec, &inputs, false, &opts.out_dir)?;
             times.push(t.elapsed().as_secs_f64());
+            let pass = run_saturation(&spawned.session, spec, &inputs, &inputs.requests(), false);
+            ledger.absorb(&pass.phase);
+            passes.push(pass);
             kept = Some((inputs, spawned));
         }
         let (inputs, spawned) = kept.expect("at least one set-up");
@@ -183,13 +197,15 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         let store = retire(spawned)?;
         untraced = Some((sat, store));
         spawned = spawn_session(spec, &inputs, true, &opts.out_dir)?;
+        let sat = run_saturation(&spawned.session, spec, &inputs, &requests, true);
+        ledger.absorb(&sat.phase);
+        passes.push(sat);
     }
 
-    let sat = run_saturation(&spawned.session, spec, &inputs, &requests, opts.trace);
-    ledger.absorb(&sat.phase);
+    let sat = passes.last().expect("at least one saturation pass");
     let parity = untraced
         .as_ref()
-        .map(|(reference, store)| parity_mismatches(reference, store, &sat, &spawned.session));
+        .map(|(reference, store)| parity_mismatches(reference, store, sat, &spawned.session));
     spawned.session.quiesce()?;
 
     let rate = {
@@ -231,19 +247,14 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     }
 
     // The correctness gate.
-    ledger.failed += final_counters.engine_errors;
-    let expected: u64 = (inputs.saturation + inputs.rate) as u64;
-    if final_counters.engine_errors > 0 {
-        problems.push(format!("{} engine errors", final_counters.engine_errors));
-    }
-    if final_counters.applied != final_counters.enqueued {
-        problems.push(format!(
-            "applied {} != offered {}",
-            final_counters.applied, final_counters.enqueued
-        ));
-    }
-    let accepted =
-        sat.phase.submitted + rate.submitted - sat.phase.submit_failures - rate.submit_failures;
+    check_counters(&final_counters, &mut ledger, &mut problems);
+    let expected = (passes.len() * inputs.saturation + inputs.rate) as u64;
+    let accepted = passes
+        .iter()
+        .map(|p| &p.phase)
+        .chain([&rate])
+        .map(|p| p.submitted - p.submit_failures)
+        .sum::<u64>();
     if accepted != expected {
         problems.push(format!("{accepted} of {expected} updates accepted"));
     }
@@ -268,7 +279,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     let mut ungated = Metrics::default();
     if correct && !opts.trace {
         metrics.add("setup_s", median(&setup_times), "s");
-        metrics.add("ingest_ups", sat.ingest_ups(), "updates/s");
+        metrics.add("ingest_ups", pooled_ingest_ups(&passes), "updates/s");
         let vis = rate.visibility_ns();
         metrics.add(
             "vis_p50_ms",
@@ -299,7 +310,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         let (reference, _) = untraced.as_ref().expect("traced runs keep the reference");
         layer_metrics(
             &mut metrics,
-            &sat,
+            sat,
             &rate,
             &engine_spans,
             durability,
@@ -325,8 +336,10 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         write_spans(&path, &spans, &engine_spans)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
-    let closed_on_size =
-        spec.shards == 1 && sat.epochs() == (inputs.saturation / spec.max_batch) as u64;
+    let closed_on_size = spec.shards == 1
+        && passes
+            .iter()
+            .all(|p| p.epochs() == (inputs.saturation / spec.max_batch) as u64);
     let provenance = provenance(opts, &ledger, &problems, exact, closed_on_size);
     Ok(Outcome {
         correct,
@@ -418,6 +431,32 @@ fn parity_mismatches(
         mismatches += u64::from(!same);
     }
     mismatches
+}
+
+/// The gate's checks on a session's counters: no engine errors, and every
+/// offered update applied.
+fn check_counters(counters: &MetricsReport, ledger: &mut Ledger, problems: &mut Vec<String>) {
+    ledger.failed += counters.engine_errors;
+    if counters.engine_errors > 0 {
+        problems.push(format!("{} engine errors", counters.engine_errors));
+    }
+    if counters.applied != counters.enqueued {
+        problems.push(format!(
+            "applied {} != offered {}",
+            counters.applied, counters.enqueued
+        ));
+    }
+}
+
+/// Retires a saturation pass's session after checking its counters.
+fn retire_checked(
+    spawned: Spawned,
+    ledger: &mut Ledger,
+    problems: &mut Vec<String>,
+) -> Result<(), String> {
+    spawned.session.quiesce()?;
+    check_counters(&spawned.session.metrics(), ledger, problems);
+    retire(spawned).map(drop)
 }
 
 /// Stops a session, removes its durability directory and returns its store.
@@ -793,7 +832,7 @@ fn provenance(
         opts.trace,
         ripple_tensor::simd::env_json_fields(),
         opts.spec.describe(opts.seconds),
-        SETUP_REPS,
+        if opts.trace { 1 } else { SATURATION_PASSES },
         if opts.spec.shards > 1 {
             String::new()
         } else {

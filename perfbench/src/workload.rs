@@ -75,8 +75,8 @@ pub struct WorkloadSpec {
     pub mix: ReadMix,
     /// Constant offered update rate of the rate phase (updates/s).
     pub offered_ups: f64,
-    /// Saturation-phase updates per measured second. Sizes the phase only;
-    /// the phase runs as fast as the pipeline admits.
+    /// Saturation updates per measured second. Sizes the passes only; each
+    /// runs as fast as the pipeline admits.
     pub saturation_ups: f64,
 }
 
@@ -94,9 +94,16 @@ pub const TOP_K: usize = 10;
 /// only a few distinct values.
 pub const READ_HZ: f64 = 1009.0;
 
-/// Share of `--seconds` given to the rate phase; the saturation phase is
+/// Share of `--seconds` given to the rate phase; the saturation passes are
 /// sized to take roughly the rest.
-const RATE_SHARE: f64 = 0.5;
+const RATE_SHARE: f64 = 0.4;
+
+/// Saturation passes of an untraced run, each on a freshly set-up session
+/// replaying the same stream prefix from the bootstrap state. The host's
+/// speed drifts over tens of seconds; passes spread over the run average
+/// more of that drift than one phase could, and repeating the prefix keeps
+/// the stream, and with it the held-out share of the graph, short.
+pub const SATURATION_PASSES: usize = 3;
 
 impl WorkloadSpec {
     /// The names [`WorkloadSpec::named`] accepts.
@@ -114,8 +121,17 @@ impl WorkloadSpec {
     /// checkpoint every 64 windows stalls publication for about 0.4 s, and
     /// at 25 updates/s about one update in six arrives during a stall, so
     /// the median stays clear of the stalls. `saturation_ups` is each
-    /// pipeline's measured capacity, sizing the saturation phase to about
-    /// half the measured time.
+    /// pipeline's measured capacity, sizing the saturation passes to about
+    /// 60% of the measured time.
+    ///
+    /// `BENCHMARK.json` does not list `products-engine`; it stays runnable
+    /// by name for engine work. Its windows touch most of a graph larger
+    /// than a core's own cache, so its ingest rate follows how busy other
+    /// tenants keep the host's shared cache and memory. On a shared 2-vCPU
+    /// host that speed drifts over tens of seconds, and between runs the
+    /// rate spread 0.15-0.18 (IQR over median, ten seeds) with saturation
+    /// phases of 10 to 24 seconds, too close to the largest bound a metric
+    /// may have (0.25) to gate.
     pub fn named(name: &str) -> Option<WorkloadSpec> {
         let serve = WorkloadSpec {
             name: name.to_string(),
@@ -127,7 +143,7 @@ impl WorkloadSpec {
             shards: 1,
             mix: ReadMix::Serve,
             offered_ups: 200.0,
-            saturation_ups: 8000.0,
+            saturation_ups: 6800.0,
         };
         let spec = match name {
             "arxiv-serve" => serve,
@@ -146,12 +162,12 @@ impl WorkloadSpec {
                 admission: Some(4),
                 mix: ReadMix::Point,
                 offered_ups: 25.0,
-                saturation_ups: 2000.0,
+                saturation_ups: 1800.0,
                 ..serve
             },
             "arxiv-sharded" => WorkloadSpec {
                 shards: 2,
-                saturation_ups: 7000.0,
+                saturation_ups: 8800.0,
                 ..serve
             },
             _ => return None,
@@ -160,10 +176,12 @@ impl WorkloadSpec {
     }
 
     /// Phase lengths for a run measuring `seconds`: `(saturation, rate)`
-    /// update counts. The saturation count is a whole number of windows,
-    /// so every saturation window closes on size.
+    /// update counts, the first per saturation pass. The saturation count
+    /// is a whole number of windows, so every saturation window closes on
+    /// size.
     pub fn phase_updates(&self, seconds: f64) -> (usize, usize) {
-        let windows = (self.saturation_ups * seconds * (1.0 - RATE_SHARE) / self.max_batch as f64)
+        let windows = (self.saturation_ups * seconds * (1.0 - RATE_SHARE)
+            / (SATURATION_PASSES * self.max_batch) as f64)
             .round()
             .max(1.0) as usize;
         let rate = (self.offered_ups * seconds * RATE_SHARE).round().max(1.0) as usize;
@@ -188,8 +206,8 @@ impl WorkloadSpec {
              \"classes\": {}, \"model\": \"GcS\", \"layers\": {}, \"hidden\": {}, \
              \"max_batch\": {}, \"index\": {}, \"durable\": {}, \"checkpoint_every\": {}, \
              \"admission\": {}, \"shards\": {}, \"read_mix\": \"{:?}\", \"offered_ups\": {}, \
-             \"read_hz\": {}, \"saturation_updates\": {}, \"rate_updates\": {}, \"top_k\": {}, \
-             \"nprobe\": {}}}",
+             \"read_hz\": {}, \"saturation_passes\": {}, \"saturation_updates\": {}, \
+             \"rate_updates\": {}, \"top_k\": {}, \"nprobe\": {}}}",
             self.dataset.name,
             self.dataset.num_vertices,
             self.dataset.avg_in_degree,
@@ -206,6 +224,7 @@ impl WorkloadSpec {
             self.mix,
             self.offered_ups,
             READ_HZ,
+            SATURATION_PASSES,
             sat,
             rate,
             TOP_K,
@@ -221,9 +240,9 @@ impl WorkloadSpec {
 pub struct Inputs {
     /// Initial snapshot and the full update stream.
     pub plan: StreamPlan,
-    /// Saturation-phase updates (the stream's first part).
+    /// Updates of one saturation pass (the stream's first part).
     pub saturation: usize,
-    /// Rate-phase updates (the part right after the saturation phase).
+    /// Rate-phase updates (the part right after the saturation prefix).
     pub rate: usize,
     /// The GcS model every engine evaluates.
     pub model: GnnModel,
@@ -264,8 +283,10 @@ impl Inputs {
             .generate(DATASET_SEED)
             .map_err(|e| format!("dataset generation: {e}"))?;
         // Additions are a third of the stream and come from held-out edges;
-        // hold out twice what they need, and never less than the paper's 10%.
-        let holdout = (2.0 * (needed / 3 + 1) as f64 / full.num_edges() as f64).max(0.10);
+        // hold out a quarter more than they need, and never less than the
+        // paper's 10%. Every held-out edge is missing from the snapshot, so a
+        // larger margin would thin the graph the run measures.
+        let holdout = (1.25 * (needed / 3 + 1) as f64 / full.num_edges() as f64).max(0.10);
         if holdout >= 0.5 {
             return Err(format!(
                 "{needed} updates need {holdout:.2} of the {} edges held out",
